@@ -12,7 +12,7 @@
 //! - [`report::residuals`]: controller explainability — realized
 //!   prediction residuals and hyperplane fit residuals (can the fitted
 //!   surface be trusted?);
-//! - [`report::executor`]: scheduler/executor/sink counters from a metrics
+//! - [`report::executor`]: scheduler and sink counters from a metrics
 //!   sidecar, and [`report::csv_section`]: machine-readable CSV exports;
 //! - [`watch`]: a dependency-free terminal dashboard over the record
 //!   stream — live, paced playback, or deterministic `--snapshot` frames;

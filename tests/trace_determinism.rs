@@ -8,7 +8,7 @@ use dmm::buffer::ClassId;
 use dmm::cluster::{FabricSpec, FaultPlan, HotRingSpec, NodeId, PlacementSpec};
 use dmm::core::{ControllerKind, ProbeSpec, Simulation, SystemConfig};
 use dmm::obs::{SpanMode, StreamSink, VecSink};
-use dmm::prelude::{ExecMode, SchedulerBackend, TierPolicy, TierSpec};
+use dmm::prelude::{SchedulerBackend, TierPolicy, TierSpec};
 use dmm::workload::GoalRange;
 use dmm_bench::convergence_speed;
 use dmm_bench::pool::replicate_in_order;
@@ -95,11 +95,9 @@ fn spanned_traced_run(seed: u64, every: u32) -> String {
     sink.to_jsonl()
 }
 
-/// Scale-out run at N = 16: configurable placement scheme and execution
-/// backend, span sampling on so per-operation records pin the byte layout
-/// too. The conservative-window parallel executor must trace byte-for-byte
-/// like sequential execution at any worker count.
-fn scaled_traced_run(seed: u64, placement: PlacementSpec, exec: ExecMode) -> String {
+/// Scale-out run at N = 16 with a configurable placement scheme, span
+/// sampling on so per-operation records pin the byte layout too.
+fn scaled_traced_run(seed: u64, placement: PlacementSpec) -> String {
     let cfg = SystemConfig::builder()
         .seed(seed)
         .theta(0.8)
@@ -111,7 +109,6 @@ fn scaled_traced_run(seed: u64, placement: PlacementSpec, exec: ExecMode) -> Str
         .warmup_intervals(2)
         .spans(SpanMode::Sampled { every: 16 })
         .placement(placement)
-        .execution(exec)
         .build()
         .expect("valid test config");
     let sink = VecSink::new();
@@ -122,9 +119,8 @@ fn scaled_traced_run(seed: u64, placement: PlacementSpec, exec: ExecMode) -> Str
 }
 
 /// The same N = 16 run under a crash/restart plan with message drops and a
-/// disk stall: degraded-mode paths execute inline (global events), so the
-/// windowed backend must stay byte-identical there too.
-fn scaled_faulted_traced_run(seed: u64, placement: PlacementSpec, exec: ExecMode) -> String {
+/// disk stall, so the degraded-mode paths hold the byte-identity bar too.
+fn scaled_faulted_traced_run(seed: u64, placement: PlacementSpec) -> String {
     let plan = FaultPlan::new(seed)
         .crash_ms(NodeId(2), 22_500)
         .restart_ms(NodeId(2), 42_500)
@@ -141,7 +137,6 @@ fn scaled_faulted_traced_run(seed: u64, placement: PlacementSpec, exec: ExecMode
         .warmup_intervals(2)
         .fault_plan(plan)
         .placement(placement)
-        .execution(exec)
         .build()
         .expect("valid test config");
     let sink = VecSink::new();
@@ -153,9 +148,9 @@ fn scaled_faulted_traced_run(seed: u64, placement: PlacementSpec, exec: ExecMode
 
 /// Scale-out run at N = 16 on a switched fabric with batched orthogonal
 /// probing: per-node TX/RX links replace the shared medium and the warm-up
-/// walks the Hadamard probe plan, so both new code paths must hold the same
-/// byte-identity bar — across runs and across worker counts.
-fn switched_traced_run(seed: u64, exec: ExecMode) -> String {
+/// walks the Hadamard probe plan, so both code paths must hold the same
+/// byte-identity bar across runs.
+fn switched_traced_run(seed: u64) -> String {
     let cfg = SystemConfig::builder()
         .seed(seed)
         .theta(0.8)
@@ -170,7 +165,6 @@ fn switched_traced_run(seed: u64, exec: ExecMode) -> String {
             bisection_bits_per_sec: Some(400_000_000),
         })
         .probe(ProbeSpec::Batched { batch: 4 })
-        .execution(exec)
         .build()
         .expect("valid test config");
     let sink = VecSink::new();
@@ -182,7 +176,7 @@ fn switched_traced_run(seed: u64, exec: ExecMode) -> String {
 
 /// The same switched-fabric run under a crash/restart plan with message
 /// drops and a disk stall: degraded mode rides the per-link facilities too.
-fn switched_faulted_traced_run(seed: u64, exec: ExecMode) -> String {
+fn switched_faulted_traced_run(seed: u64) -> String {
     let plan = FaultPlan::new(seed)
         .crash_ms(NodeId(2), 22_500)
         .restart_ms(NodeId(2), 42_500)
@@ -202,7 +196,6 @@ fn switched_faulted_traced_run(seed: u64, exec: ExecMode) -> String {
             bisection_bits_per_sec: Some(400_000_000),
         })
         .probe(ProbeSpec::Batched { batch: 4 })
-        .execution(exec)
         .build()
         .expect("valid test config");
     let sink = VecSink::new();
@@ -212,53 +205,59 @@ fn switched_faulted_traced_run(seed: u64, exec: ExecMode) -> String {
     sink.to_jsonl()
 }
 
+/// Runs `run` for each of `seeds` on the replication pool with `threads`
+/// workers and returns the traces in seed order.
+fn replicated(seeds: &[u64], threads: usize, run: fn(u64) -> String) -> Vec<String> {
+    let mut traces = vec![String::new(); seeds.len()];
+    replicate_in_order(
+        seeds,
+        threads,
+        |seed: &u64| run(*seed),
+        |i, t| {
+            traces[i] = t;
+            ControlFlow::Continue(())
+        },
+    );
+    traces
+}
+
 #[test]
 fn switched_fabric_traces_are_byte_identical_per_seed_and_across_workers() {
-    let sequential = switched_traced_run(7, ExecMode::Sequential);
-    assert!(!sequential.is_empty(), "trace must not be empty");
+    // Seeds 7 and 8 run once serially and once on two replication workers:
+    // each seed's trace must come out byte-identical both times.
+    let serial = replicated(&[7, 8], 1, switched_traced_run);
+    let a = &serial[0];
+    assert!(!a.is_empty(), "trace must not be empty");
     assert!(
-        sequential.contains("\"type\":\"net_load\""),
+        a.contains("\"type\":\"net_load\""),
         "switched runs must emit net_load records"
     );
+    assert_ne!(a, &serial[1], "different seed, different trace");
     assert_eq!(
-        sequential.as_bytes(),
-        switched_traced_run(7, ExecMode::Sequential).as_bytes(),
-        "same seed, same bytes"
+        serial,
+        replicated(&[7, 8], 2, switched_traced_run),
+        "same seed, same bytes on 1 and 2 workers"
     );
-    assert_ne!(
-        sequential,
-        switched_traced_run(8, ExecMode::Sequential),
-        "different seed, different trace"
-    );
-    for workers in [1, 2, 4] {
-        let windowed = switched_traced_run(7, ExecMode::Windowed { workers });
-        assert_eq!(
-            sequential.as_bytes(),
-            windowed.as_bytes(),
-            "windowed ({workers} workers) switched trace diverged"
-        );
-    }
 }
 
 #[test]
 fn switched_fabric_faulted_traces_are_worker_count_invariant() {
-    let sequential = switched_faulted_traced_run(7, ExecMode::Sequential);
+    // Degraded mode rides the per-link facilities too.
+    let serial = replicated(&[7, 8], 1, switched_faulted_traced_run);
+    let a = &serial[0];
     assert!(
-        sequential.contains("\"kind\":\"crash\"") && sequential.contains("\"kind\":\"restart\""),
+        a.contains("\"kind\":\"crash\"") && a.contains("\"kind\":\"restart\""),
         "both crash and restart must appear"
     );
     assert!(
-        sequential.contains("\"type\":\"net_load\""),
+        a.contains("\"type\":\"net_load\""),
         "switched runs must emit net_load records"
     );
-    for workers in [1, 2, 4] {
-        let windowed = switched_faulted_traced_run(7, ExecMode::Windowed { workers });
-        assert_eq!(
-            sequential.as_bytes(),
-            windowed.as_bytes(),
-            "windowed ({workers} workers) switched faulted trace diverged"
-        );
-    }
+    assert_eq!(
+        serial,
+        replicated(&[7, 8], 2, switched_faulted_traced_run),
+        "same seed + plan, same bytes on 1 and 2 workers"
+    );
 }
 
 #[test]
@@ -269,7 +268,7 @@ fn shared_medium_traces_carry_no_net_load_records() {
     for doc in [
         traced_run(7),
         faulted_traced_run(7),
-        scaled_traced_run(7, PlacementSpec::RoundRobin, ExecMode::Sequential),
+        scaled_traced_run(7, PlacementSpec::RoundRobin),
     ] {
         assert!(
             !doc.contains("net_load"),
@@ -278,62 +277,62 @@ fn shared_medium_traces_carry_no_net_load_records() {
     }
 }
 
+/// The N = 16 scaled runs on both placement schemes. The row is named for
+/// the windowed executor it once compared against; that executor is gone,
+/// and the sequential half stays: home_load records are present and a
+/// repeat run of the same seed reproduces the trace byte for byte.
 #[test]
 fn windowed_execution_traces_byte_identically_to_sequential() {
     for placement in [
         PlacementSpec::RoundRobin,
         PlacementSpec::HotRing(HotRingSpec::default()),
     ] {
-        let sequential = scaled_traced_run(7, placement, ExecMode::Sequential);
+        let sequential = scaled_traced_run(7, placement);
         assert!(!sequential.is_empty(), "trace must not be empty");
         assert!(
             sequential.contains("\"type\":\"home_load\""),
             "home_load records missing"
         );
-        for workers in [1, 2, 4] {
-            let windowed = scaled_traced_run(7, placement, ExecMode::Windowed { workers });
-            assert_eq!(
-                sequential.as_bytes(),
-                windowed.as_bytes(),
-                "windowed ({workers} workers) trace diverged ({placement:?})"
-            );
-        }
+        assert_eq!(
+            sequential.as_bytes(),
+            scaled_traced_run(7, placement).as_bytes(),
+            "same seed, same bytes ({placement:?})"
+        );
     }
 }
 
+/// The N = 16 degraded-mode paths on both placement schemes; named, like
+/// the row above, for the removed windowed executor.
 #[test]
 fn windowed_execution_traces_faulted_runs_byte_identically() {
     for placement in [
         PlacementSpec::RoundRobin,
         PlacementSpec::HotRing(HotRingSpec::default()),
     ] {
-        let sequential = scaled_faulted_traced_run(7, placement, ExecMode::Sequential);
+        let sequential = scaled_faulted_traced_run(7, placement);
         assert!(
             sequential.contains("\"kind\":\"crash\"")
                 && sequential.contains("\"kind\":\"restart\""),
-            "both crash and restart must appear"
+            "both crash and restart must appear ({placement:?})"
         );
-        for workers in [2, 4] {
-            let windowed = scaled_faulted_traced_run(7, placement, ExecMode::Windowed { workers });
-            assert_eq!(
-                sequential.as_bytes(),
-                windowed.as_bytes(),
-                "windowed ({workers} workers) faulted trace diverged ({placement:?})"
-            );
-        }
+        assert_eq!(
+            sequential.as_bytes(),
+            scaled_faulted_traced_run(7, placement).as_bytes(),
+            "same seed + plan, same bytes ({placement:?})"
+        );
     }
 }
 
 #[test]
 fn hot_ring_traces_are_byte_identical_per_seed_and_differ_from_static() {
     let hot = PlacementSpec::HotRing(HotRingSpec::default());
-    let a = scaled_traced_run(7, hot, ExecMode::Sequential);
-    let b = scaled_traced_run(7, hot, ExecMode::Sequential);
+    let a = scaled_traced_run(7, hot);
+    let b = scaled_traced_run(7, hot);
     assert_eq!(a.as_bytes(), b.as_bytes(), "same seed, same bytes");
-    assert_ne!(a, scaled_traced_run(8, hot, ExecMode::Sequential));
+    assert_ne!(a, scaled_traced_run(8, hot));
     // The scheme must actually change placement: a static round-robin run
     // of the same seed routes differently and leaves different bytes.
-    let static_rr = scaled_traced_run(7, PlacementSpec::RoundRobin, ExecMode::Sequential);
+    let static_rr = scaled_traced_run(7, PlacementSpec::RoundRobin);
     assert_ne!(a, static_rr, "hot ring must change the trace");
 }
 
@@ -968,10 +967,9 @@ fn replay_round_trips_spanned_recordings_on_control_records() {
 }
 
 #[test]
-fn watch_snapshot_is_byte_stable_across_runs_and_exec_modes() {
+fn watch_snapshot_is_byte_stable_across_runs() {
     // The snapshot renderer is a pure function of the record stream, and
-    // the record stream is execution-substrate invariant: same bytes
-    // across repeated runs, scheduler backends, and worker counts.
+    // the record stream is deterministic: same bytes across repeated runs.
     let doc = spanned_traced_run(7, 16);
     let trace = dmm_trace::read_str(&doc).expect("valid trace");
     let frames = dmm_trace::snapshot(&trace, 4);
@@ -984,14 +982,4 @@ fn watch_snapshot_is_byte_stable_across_runs_and_exec_modes() {
         4,
     );
     assert_eq!(frames, again, "same seed, same frames");
-
-    let seq = scaled_traced_run(7, PlacementSpec::RoundRobin, ExecMode::Sequential);
-    for workers in [2, 4] {
-        let win = scaled_traced_run(7, PlacementSpec::RoundRobin, ExecMode::Windowed { workers });
-        assert_eq!(
-            dmm_trace::snapshot(&dmm_trace::read_str(&seq).expect("valid"), 3),
-            dmm_trace::snapshot(&dmm_trace::read_str(&win).expect("valid"), 3),
-            "workers={workers}: snapshot must not depend on thread count"
-        );
-    }
 }
