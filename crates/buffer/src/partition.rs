@@ -19,7 +19,7 @@
 
 use dmm_sim::SimTime;
 
-use crate::page::{ClassId, IdHashMap, PageId, NO_GOAL};
+use crate::page::{ClassId, PageId, NO_GOAL};
 use crate::policy::PolicySpec;
 use crate::pool::{Pool, PoolStats};
 
@@ -51,13 +51,20 @@ pub struct InstallOutcome {
     pub evicted: Vec<PageId>,
 }
 
+/// `owner` entry of a page resident in no pool.
+const VACANT: ClassId = ClassId(u16::MAX);
+
 /// Per-node partitioned buffer: pools indexed by class id (0 = no-goal).
 #[derive(Debug, Clone)]
 pub struct PartitionedBuffer {
     total_pages: usize,
     pools: Vec<Pool>,
-    /// page → class of the pool currently holding it.
-    owner: IdHashMap<PageId, ClassId>,
+    /// Indexed by page id: class of the pool currently holding the page,
+    /// [`VACANT`] when it is not resident. Grows on demand to the highest
+    /// page id seen.
+    owner: Vec<ClassId>,
+    /// Number of resident pages (non-vacant `owner` entries).
+    resident: usize,
 }
 
 impl PartitionedBuffer {
@@ -74,7 +81,8 @@ impl PartitionedBuffer {
         PartitionedBuffer {
             total_pages,
             pools,
-            owner: IdHashMap::default(),
+            owner: Vec::new(),
+            resident: 0,
         }
     }
 
@@ -115,17 +123,42 @@ impl PartitionedBuffer {
 
     /// Which pool holds `page`, if any.
     pub fn lookup(&self, page: PageId) -> Option<ClassId> {
-        self.owner.get(&page).copied()
+        self.owner
+            .get(page.index())
+            .copied()
+            .filter(|&c| c != VACANT)
     }
 
     /// True if the page is resident anywhere on this node.
     pub fn resident(&self, page: PageId) -> bool {
-        self.owner.contains_key(&page)
+        self.lookup(page).is_some()
     }
 
     /// Total resident pages across pools.
     pub fn total_resident(&self) -> usize {
-        self.owner.len()
+        self.resident
+    }
+
+    /// Records `page` as held by `class`'s pool. The page must not be
+    /// resident.
+    fn set_owner(&mut self, page: PageId, class: ClassId) {
+        let i = page.index();
+        if i >= self.owner.len() {
+            self.owner.resize(i + 1, VACANT);
+        }
+        debug_assert_eq!(self.owner[i], VACANT, "page already owned");
+        self.owner[i] = class;
+        self.resident += 1;
+    }
+
+    /// Forgets `page`'s owner; returns the pool class that held it.
+    fn clear_owner(&mut self, page: PageId) -> Option<ClassId> {
+        let slot = self.owner.get_mut(page.index())?;
+        if *slot == VACANT {
+            return None;
+        }
+        self.resident -= 1;
+        Some(std::mem::replace(slot, VACANT))
     }
 
     /// Pool accounting for `class`'s pool (class 0 = no-goal pool).
@@ -160,7 +193,7 @@ impl PartitionedBuffer {
                 self.pools[0].on_hit(page, now);
                 let removed = self.pools[0].remove(page);
                 debug_assert!(removed);
-                self.owner.remove(&page);
+                self.clear_owner(page);
                 let evicted = self.install_in(target, page, now);
                 LocalAccess::MovedToDedicated { evicted }
             }
@@ -198,7 +231,7 @@ impl PartitionedBuffer {
     /// Drops `page` from whatever pool holds it. Returns true if it was
     /// resident.
     pub fn drop_page(&mut self, page: PageId) -> bool {
-        match self.owner.remove(&page) {
+        match self.clear_owner(page) {
             Some(holder) => {
                 let removed = self.pools[holder.index()].remove(page);
                 debug_assert!(removed);
@@ -247,18 +280,18 @@ impl PartitionedBuffer {
 
     fn shrink(&mut self, pool_idx: usize, cap: usize) -> Vec<PageId> {
         let evicted = self.pools[pool_idx].set_capacity(cap);
-        for p in &evicted {
-            self.owner.remove(p);
+        for &p in &evicted {
+            self.clear_owner(p);
         }
         evicted
     }
 
     fn install_in(&mut self, target: ClassId, page: PageId, now: SimTime) -> Vec<PageId> {
         let evicted = self.pools[target.index()].insert(page, now);
-        for p in &evicted {
-            self.owner.remove(p);
+        for &p in &evicted {
+            self.clear_owner(p);
         }
-        self.owner.insert(page, target);
+        self.set_owner(page, target);
         evicted
     }
 
@@ -282,14 +315,16 @@ impl PartitionedBuffer {
             assert!(pool.len() <= pool.capacity(), "pool over capacity");
             for page in pool.pages() {
                 assert_eq!(
-                    self.owner.get(&page),
-                    Some(&ClassId(i as u16)),
-                    "owner map out of sync"
+                    self.lookup(page),
+                    Some(ClassId(i as u16)),
+                    "owner table out of sync"
                 );
                 counted += 1;
             }
         }
-        assert_eq!(counted, self.owner.len(), "stray owner entries");
+        assert_eq!(counted, self.resident, "resident counter out of sync");
+        let owned = self.owner.iter().filter(|&&c| c != VACANT).count();
+        assert_eq!(counted, owned, "stray owner entries");
     }
 }
 

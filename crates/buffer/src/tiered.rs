@@ -423,6 +423,11 @@ impl TieredBuffer {
         displaced: Vec<PageId>,
         now: SimTime,
     ) -> (Vec<PageId>, Vec<PageId>) {
+        if displaced.is_empty() || from + 1 >= self.tiers.len() {
+            // Nothing to re-home, or no deeper tier to re-home it in (the
+            // default single-tier ladder): every displaced page leaves.
+            return (displaced, Vec::new());
+        }
         let mut evicted = Vec::new();
         let mut demoted = Vec::new();
         let mut queue: Vec<(usize, ClassId, PageId)> =

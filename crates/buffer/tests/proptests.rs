@@ -4,13 +4,73 @@
 //! for reproducibility.
 
 use dmm_buffer::{
-    ClassId, IndexedMinHeap, LocalAccess, PageId, PartitionedBuffer, Policy, PolicySpec, Pool,
-    NO_GOAL,
+    ClassId, HeatEstimator, IndexedMinHeap, LocalAccess, PageId, PartitionedBuffer, Policy,
+    PolicySpec, Pool, HEAT_K, NO_GOAL,
 };
 use dmm_sim::{SimRng, SimTime};
 
 fn t(ns: u64) -> SimTime {
     SimTime::from_nanos(ns)
+}
+
+/// Reference LRU-K window: a heap `Vec` of the last `HEAT_K` access
+/// instants, slid with `remove(0)`. The inline [`HeatEstimator`] must agree
+/// with it bit for bit.
+#[derive(Default)]
+struct VecWindow {
+    times: Vec<SimTime>,
+}
+
+impl VecWindow {
+    fn record(&mut self, now: SimTime) {
+        if self.times.len() == HEAT_K {
+            self.times.remove(0);
+        }
+        self.times.push(now);
+    }
+
+    fn heat_per_ms(&self, now: SimTime) -> f64 {
+        let Some(&oldest) = self.times.first() else {
+            return 0.0;
+        };
+        let span_ms = now.since(oldest).as_millis_f64().max(1e-3);
+        self.times.len() as f64 / span_ms
+    }
+}
+
+#[test]
+fn inline_heat_window_matches_vec_reference() {
+    for seed in 0..256u64 {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut inline = HeatEstimator::new();
+        let mut model = VecWindow::default();
+        let mut now = 0u64;
+        for _ in 0..1 + rng.index(200) {
+            // Bursts of equal instants, sub-microsecond gaps and long idles.
+            now += match rng.index(4) {
+                0 => 0,
+                1 => rng.index(1_000) as u64,
+                2 => rng.index(10_000_000) as u64,
+                _ => rng.index(5_000_000_000) as u64,
+            };
+            if rng.index(3) > 0 {
+                inline.record(t(now));
+                model.record(t(now));
+            }
+            let at = t(now + rng.index(50_000_000) as u64);
+            assert_eq!(
+                inline.heat_per_ms(at).to_bits(),
+                model.heat_per_ms(at).to_bits(),
+                "seed {seed}"
+            );
+            assert_eq!(inline.count(), model.times.len(), "seed {seed}");
+            assert_eq!(
+                inline.last_access(),
+                model.times.last().copied(),
+                "seed {seed}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -11,24 +11,35 @@
 //! whether a local copy is the system-wide last one — the two inputs of the
 //! §6 benefit formula.
 
-use dmm_buffer::{ClassId, HeatEstimator, IdHashMap, PageId};
+use dmm_buffer::{ClassId, HeatEstimator, PageId};
 use dmm_sim::SimTime;
 
 use crate::ids::NodeId;
 
-/// Exact global cache state plus heat-dissemination bookkeeping.
+/// Global (system-wide) heat of one page.
+#[derive(Debug, Clone, Copy, Default)]
+struct GlobalHeat {
+    estimator: HeatEstimator,
+    /// Heat as of the page's last dissemination message (0 = never
+    /// published).
+    published: f64,
+}
+
+/// Exact global cache state plus heat-dissemination bookkeeping. Every
+/// per-page table is a vector indexed by page id. Capacity for the whole
+/// database is reserved up front, but entries are filled only up to the
+/// highest page id written so far: set-up touches no per-page memory, and
+/// a page id past the end reads as "no copy, no heat".
 #[derive(Debug, Clone)]
 pub struct Directory {
-    /// page → nodes currently caching a copy (small, usually ≤ N).
-    holders: IdHashMap<PageId, Vec<NodeId>>,
-    /// page → global (system-wide) heat estimator.
-    global_heat: IdHashMap<PageId, HeatEstimator>,
-    /// page → heat value as of its last dissemination message.
-    published: IdHashMap<PageId, f64>,
+    /// Nodes currently caching each page (small, usually ≤ N), in the order
+    /// the copies appeared. A list keeps its capacity while its page is out
+    /// of memory, so a page that keeps coming back allocates once.
+    holders: Vec<Vec<NodeId>>,
+    global_heat: Vec<GlobalHeat>,
     /// Per goal class: number of dedicated pools in the whole system. A
     /// class's heat is tracked only while this is non-zero (§6).
     dedicated_pools: Vec<u32>,
-    heat_k: usize,
     publish_threshold: f64,
     /// Control messages the coherence protocol generated (charged by the
     /// data plane).
@@ -36,14 +47,14 @@ pub struct Directory {
 }
 
 impl Directory {
-    /// Empty directory for `goal_classes` goal classes.
-    pub fn new(goal_classes: usize, heat_k: usize, publish_threshold: f64) -> Self {
+    /// Empty directory for `goal_classes` goal classes over a database of
+    /// `db_pages` pages (ids `0..db_pages`).
+    pub fn new(goal_classes: usize, db_pages: u32, publish_threshold: f64) -> Self {
+        let pages = db_pages as usize;
         Directory {
-            holders: IdHashMap::default(),
-            global_heat: IdHashMap::default(),
-            published: IdHashMap::default(),
+            holders: Vec::with_capacity(pages),
+            global_heat: Vec::with_capacity(pages),
             dedicated_pools: vec![0; goal_classes + 1],
-            heat_k,
             publish_threshold,
             publish_events: 0,
         }
@@ -51,7 +62,7 @@ impl Directory {
 
     /// Nodes currently caching `page`.
     pub fn holders(&self, page: PageId) -> &[NodeId] {
-        self.holders.get(&page).map_or(&[], Vec::as_slice)
+        self.holders.get(page.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Number of cached copies of `page`.
@@ -73,7 +84,11 @@ impl Directory {
 
     /// Registers a copy of `page` at `node`. Idempotent.
     pub fn add_copy(&mut self, page: PageId, node: NodeId) {
-        let h = self.holders.entry(page).or_default();
+        let i = page.index();
+        if i >= self.holders.len() {
+            self.holders.resize_with(i + 1, Vec::new);
+        }
+        let h = &mut self.holders[i];
         if !h.contains(&node) {
             h.push(node);
         }
@@ -81,33 +96,29 @@ impl Directory {
 
     /// Removes `node`'s copy. Returns the remaining copy count.
     pub fn remove_copy(&mut self, page: PageId, node: NodeId) -> usize {
-        if let Some(h) = self.holders.get_mut(&page) {
-            h.retain(|&n| n != node);
-            let left = h.len();
-            if left == 0 {
-                self.holders.remove(&page);
-            }
-            left
-        } else {
-            0
+        let Some(h) = self.holders.get_mut(page.index()) else {
+            return 0;
+        };
+        if let Some(i) = h.iter().position(|&n| n == node) {
+            h.remove(i);
         }
+        h.len()
     }
 
     /// Records a system-wide access to `page` at `now`. Returns `true` when
     /// the threshold protocol would publish the new heat (the caller charges
     /// one control message to the page's home).
     pub fn record_access(&mut self, page: PageId, now: SimTime) -> bool {
-        let k = self.heat_k;
-        let est = self
-            .global_heat
-            .entry(page)
-            .or_insert_with(|| HeatEstimator::new(k));
-        est.record(now);
-        let heat = est.heat_per_ms(now);
-        let published = self.published.get(&page).copied().unwrap_or(0.0);
-        let drift = (heat - published).abs();
-        if drift > self.publish_threshold * published.max(1e-9) {
-            self.published.insert(page, heat);
+        let i = page.index();
+        if i >= self.global_heat.len() {
+            self.global_heat.resize(i + 1, GlobalHeat::default());
+        }
+        let g = &mut self.global_heat[i];
+        g.estimator.record(now);
+        let heat = g.estimator.heat_per_ms(now);
+        let drift = (heat - g.published).abs();
+        if drift > self.publish_threshold * g.published.max(1e-9) {
+            g.published = heat;
             self.publish_events += 1;
             true
         } else {
@@ -118,8 +129,8 @@ impl Directory {
     /// Global heat of `page` in accesses/ms.
     pub fn global_heat_per_ms(&self, page: PageId, now: SimTime) -> f64 {
         self.global_heat
-            .get(&page)
-            .map_or(0.0, |e| e.heat_per_ms(now))
+            .get(page.index())
+            .map_or(0.0, |g| g.estimator.heat_per_ms(now))
     }
 
     /// Number of dissemination messages generated so far.
@@ -149,11 +160,11 @@ impl Directory {
 
     /// Debug invariant: no duplicate holders.
     pub fn check_invariants(&self) {
-        for (page, h) in &self.holders {
+        for (page, h) in self.holders.iter().enumerate() {
             let mut sorted: Vec<NodeId> = h.clone();
             sorted.sort();
             sorted.dedup();
-            assert_eq!(sorted.len(), h.len(), "duplicate holders for {page}");
+            assert_eq!(sorted.len(), h.len(), "duplicate holders for p{page}");
         }
     }
 }
@@ -169,7 +180,7 @@ mod tests {
 
     #[test]
     fn copy_tracking_and_last_copy() {
-        let mut d = Directory::new(2, 2, 0.2);
+        let mut d = Directory::new(2, 8, 0.2);
         d.add_copy(PageId(1), NodeId(0));
         assert!(d.is_last_copy(PageId(1), NodeId(0)));
         d.add_copy(PageId(1), NodeId(2));
@@ -187,14 +198,14 @@ mod tests {
 
     #[test]
     fn first_access_publishes() {
-        let mut d = Directory::new(1, 2, 0.2);
+        let mut d = Directory::new(1, 8, 0.2);
         assert!(d.record_access(PageId(1), ms(1)));
         assert_eq!(d.publish_events(), 1);
     }
 
     #[test]
     fn steady_heat_stops_publishing() {
-        let mut d = Directory::new(1, 2, 0.5);
+        let mut d = Directory::new(1, 8, 0.5);
         // Perfectly regular accesses: after the window fills, heat is
         // constant and no further publishes occur.
         let mut publishes = 0;
@@ -209,7 +220,7 @@ mod tests {
 
     #[test]
     fn class_tracking_counts_pools() {
-        let mut d = Directory::new(2, 2, 0.2);
+        let mut d = Directory::new(2, 8, 0.2);
         assert!(!d.class_tracked(ClassId(1)));
         assert!(!d.class_tracked(NO_GOAL));
         d.dedicated_pool_changed(ClassId(1), 1);

@@ -17,7 +17,7 @@ pub const PAGE_BYTES: u64 = 4096;
 
 /// Disk service model: one page read costs
 /// `avg_seek + avg_rotation + page_transfer`, served FCFS per node.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskParams {
     /// Average seek time.
     pub avg_seek: SimDuration,
@@ -75,7 +75,7 @@ pub enum FabricSpec {
 /// Network model (§7.1: "fast local network, transfer-rate of 100 Mbit/s").
 /// Each message occupies its facility (the shared medium, or a TX and an RX
 /// link) for `bytes·8/bandwidth` plus a fixed per-message latency.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetParams {
     /// Bandwidth in bits per second (of the medium, or of each link).
     pub bits_per_sec: u64,
@@ -109,7 +109,7 @@ impl NetParams {
 }
 
 /// CPU cost model (§7.1: 100 MIPS). Costs are instruction counts.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpuParams {
     /// Node speed in instructions per second.
     pub mips: u64,
@@ -184,8 +184,6 @@ pub struct ClusterParams {
     pub policy: PolicySpec,
     /// Benefit maintenance strategy for the cost-based policy.
     pub repricing: RepricingMode,
-    /// LRU-K window used for heat estimation (§6 uses LRU-k).
-    pub heat_k: usize,
     /// Relative change of a page's global heat that triggers a dissemination
     /// message (threshold-based protocol of \[27, 26\]).
     pub heat_publish_threshold: f64,
@@ -219,7 +217,6 @@ impl Default for ClusterParams {
             goal_classes: 1,
             policy: PolicySpec::CostBased,
             repricing: RepricingMode::default(),
-            heat_k: 2,
             heat_publish_threshold: 0.2,
             disk: DiskParams::default(),
             net: NetParams::default(),

@@ -121,13 +121,65 @@ impl StepOutput {
     }
 }
 
+/// A node's local heat bookkeeping (§6): one [`PageHeat`] per page the node
+/// has touched. A page-indexed slot table points into a slab that grows in
+/// first-touch order, so a lookup is one index and a node that touches few
+/// pages of a large database pays 4 bytes, not a full `PageHeat`, for every
+/// page it never saw.
+#[derive(Debug)]
+struct NodeHeat {
+    /// Indexed by page id: position of the page's record in `slab`, or
+    /// [`NodeHeat::NONE`]. Capacity for the whole database is reserved up
+    /// front; entries are filled up to the highest page touched.
+    slot: Vec<u32>,
+    slab: Vec<PageHeat>,
+}
+
+impl NodeHeat {
+    const NONE: u32 = u32::MAX;
+
+    fn new(db_pages: u32) -> Self {
+        NodeHeat {
+            slot: Vec::with_capacity(db_pages as usize),
+            slab: Vec::new(),
+        }
+    }
+
+    fn get(&self, page: PageId) -> Option<&PageHeat> {
+        match self.slot.get(page.index()) {
+            None | Some(&Self::NONE) => None,
+            Some(&i) => Some(&self.slab[i as usize]),
+        }
+    }
+
+    /// The page's record, created empty on first touch.
+    fn entry(&mut self, page: PageId) -> &mut PageHeat {
+        let i = page.index();
+        if i >= self.slot.len() {
+            self.slot.resize(i + 1, Self::NONE);
+        }
+        let slot = &mut self.slot[i];
+        if *slot == Self::NONE {
+            *slot = self.slab.len() as u32;
+            self.slab.push(PageHeat::new());
+        }
+        &mut self.slab[*slot as usize]
+    }
+
+    /// Forgets every record (the node crashed).
+    fn clear(&mut self) {
+        self.slot.clear();
+        self.slab.clear();
+    }
+}
+
 /// Per-node simulated state.
 #[derive(Debug)]
 struct NodeState {
     cpu: Facility,
     disk: Disk,
     buffer: TieredBuffer,
-    heat: IdHashMap<PageId, PageHeat>,
+    heat: NodeHeat,
     /// One FCFS facility per memory tier beyond tier 0, modelling the
     /// tier's (possibly bandwidth-capped) transfer channel. Empty for the
     /// default single-memory-tier ladder.
@@ -298,7 +350,7 @@ impl DataPlane {
                     params.policy,
                     params.tier_policy,
                 ),
-                heat: IdHashMap::default(),
+                heat: NodeHeat::new(params.db_pages),
                 tier_fac: (1..tier_frames.len())
                     .map(|_| Facility::new("tier"))
                     .collect(),
@@ -309,7 +361,7 @@ impl DataPlane {
             network: Network::new(params.net, params.nodes),
             directory: Directory::new(
                 params.goal_classes,
-                params.heat_k,
+                params.db_pages,
                 params.heat_publish_threshold,
             ),
             costs: AccessCosts::for_ladder(0.05, &params.tiers),
@@ -1388,11 +1440,9 @@ impl DataPlane {
 
     fn record_heat(&mut self, node: NodeId, class: ClassId, page: PageId, now: SimTime) {
         let tracked = self.directory.class_tracked(class);
-        let k = self.params.heat_k;
         self.nodes[node.index()]
             .heat
             .entry(page)
-            .or_insert_with(|| PageHeat::new(k))
             .record(class, now, tracked);
         if self.directory.record_access(page, now) {
             // Threshold crossed: the heat update is published to the page's
@@ -1584,7 +1634,7 @@ impl DataPlane {
             return;
         };
         let ranking_heat = {
-            let heat = self.nodes[node.index()].heat.get(&page);
+            let heat = self.nodes[node.index()].heat.get(page);
             match heat {
                 Some(h) if pool_class.is_no_goal() => h.accumulated_heat_per_ms(now),
                 Some(h) => h.class_heat_per_ms(pool_class, now),
@@ -1983,6 +2033,57 @@ mod tests {
         let done = drive(&mut p, out.schedule);
         assert_eq!(done.len(), 1);
         assert_eq!(p.disk_reads(NodeId(1)), 2, "cold rejoin re-reads disk");
+        p.check_invariants();
+    }
+
+    #[test]
+    fn crash_forgets_heat_and_restart_records_afresh() {
+        let mut p = plane();
+        let db = p.params().db_pages;
+        p.apply_allocation(NodeId(1), ClassId(1), 32, SimTime::ZERO);
+        // Node 1 warms a few pages repeatedly; node 0 shares one of them.
+        let mut t = SimTime::ZERO;
+        for (id, (origin, page)) in [(1, 1), (1, 4), (1, 7), (0, 4), (1, 1), (1, 4)]
+            .into_iter()
+            .enumerate()
+        {
+            let out = p.start_operation(op(id as u64 + 1, 1, origin, &[page], t), t);
+            t = drive(&mut p, out.schedule)[0].finished;
+        }
+        let warm = p.nodes[1].heat.get(PageId(4)).expect("node 1 touched p4");
+        assert_eq!(warm.accumulated.count(), 2);
+        assert_eq!(warm.tracked_classes(), 1);
+
+        p.crash_node(NodeId(1), t);
+        p.restart_node(NodeId(1));
+        for page in (0..db).map(PageId) {
+            assert!(
+                p.nodes[1].heat.get(page).is_none(),
+                "{page} kept heat across the crash"
+            );
+            assert!(
+                !p.directory().holders(page).contains(&NodeId(1)),
+                "directory still lists a copy of {page} at the crashed node"
+            );
+        }
+        // The survivor's heat is untouched.
+        assert_eq!(
+            p.nodes[0]
+                .heat
+                .get(PageId(4))
+                .expect("node 0 touched p4")
+                .accumulated
+                .count(),
+            1
+        );
+
+        // The first access after the restart records exactly one sample.
+        let out = p.start_operation(op(10, 1, 1, &[4], t), t);
+        t = drive(&mut p, out.schedule)[0].finished;
+        let fresh = p.nodes[1].heat.get(PageId(4)).expect("re-touched p4");
+        assert_eq!(fresh.accumulated.count(), 1);
+        assert!(fresh.accumulated_heat_per_ms(t) > 0.0);
+        assert!(p.nodes[1].heat.get(PageId(1)).is_none());
         p.check_invariants();
     }
 

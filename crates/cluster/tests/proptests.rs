@@ -1,11 +1,15 @@
 //! Randomized-input tests: the data plane keeps its directory/buffer
 //! invariants and always terminates every operation, under random workloads,
-//! allocations and cluster shapes. Cases are generated from seeded
+//! allocations and cluster shapes, and the page-indexed directory agrees
+//! with a hash-map reference model. Cases are generated from seeded
 //! [`SimRng`] streams for reproducibility.
+
+use std::collections::HashMap;
 
 use dmm_buffer::{ClassId, PageId, PolicySpec};
 use dmm_cluster::{
-    ClusterParams, DataPlane, HashRing, NodeId, OpCompletion, OpId, Operation, MAX_RING_REPLICAS,
+    ClusterParams, DataPlane, Directory, HashRing, NodeId, OpCompletion, OpId, Operation,
+    MAX_RING_REPLICAS,
 };
 use dmm_sim::{SimRng, SimTime};
 
@@ -221,5 +225,139 @@ fn repeated_access_eventually_hits() {
             last_rt < 1.0,
             "expected warm hit, got {last_rt} ms (case {case})"
         );
+    }
+}
+
+/// Reference directory: the hash-map layout the page-indexed [`Directory`]
+/// replaced. Holder lists are created on a page's first copy and dropped
+/// with its last; heat windows are `Vec`s slid with `remove(0)`.
+#[derive(Default)]
+struct MapDirectory {
+    holders: HashMap<PageId, Vec<NodeId>>,
+    global_heat: HashMap<PageId, Vec<SimTime>>,
+    published: HashMap<PageId, f64>,
+    publish_events: u64,
+}
+
+impl MapDirectory {
+    const K: usize = dmm_buffer::HEAT_K;
+    const THRESHOLD: f64 = 0.2;
+
+    fn holders(&self, page: PageId) -> &[NodeId] {
+        self.holders.get(&page).map_or(&[], Vec::as_slice)
+    }
+
+    fn is_last_copy(&self, page: PageId, node: NodeId) -> bool {
+        self.holders(page) == [node]
+    }
+
+    fn pick_holder(&self, page: PageId, requester: NodeId) -> Option<NodeId> {
+        self.holders(page).iter().copied().find(|&n| n != requester)
+    }
+
+    fn add_copy(&mut self, page: PageId, node: NodeId) {
+        let h = self.holders.entry(page).or_default();
+        if !h.contains(&node) {
+            h.push(node);
+        }
+    }
+
+    fn remove_copy(&mut self, page: PageId, node: NodeId) -> usize {
+        let Some(h) = self.holders.get_mut(&page) else {
+            return 0;
+        };
+        h.retain(|&n| n != node);
+        let left = h.len();
+        if left == 0 {
+            self.holders.remove(&page);
+        }
+        left
+    }
+
+    fn global_heat_per_ms(&self, page: PageId, now: SimTime) -> f64 {
+        let Some(w) = self.global_heat.get(&page).filter(|w| !w.is_empty()) else {
+            return 0.0;
+        };
+        w.len() as f64 / now.since(w[0]).as_millis_f64().max(1e-3)
+    }
+
+    fn record_access(&mut self, page: PageId, now: SimTime) -> bool {
+        let w = self.global_heat.entry(page).or_default();
+        if w.len() == Self::K {
+            w.remove(0);
+        }
+        w.push(now);
+        let heat = self.global_heat_per_ms(page, now);
+        let published = self.published.get(&page).copied().unwrap_or(0.0);
+        if (heat - published).abs() > Self::THRESHOLD * published.max(1e-9) {
+            self.published.insert(page, heat);
+            self.publish_events += 1;
+            true
+        } else {
+            false
+        }
+    }
+}
+
+#[test]
+fn page_indexed_directory_matches_map_reference() {
+    const DB: u32 = 24;
+    const NODES: u16 = 5;
+    for seed in 0..64u64 {
+        let mut rng = SimRng::seed_from_u64(9_000 + seed);
+        let mut dir = Directory::new(2, DB, MapDirectory::THRESHOLD);
+        let mut model = MapDirectory::default();
+        let mut now = 0u64;
+        for step in 0..1 + rng.index(400) {
+            let page = PageId(rng.index(DB as usize) as u32);
+            let node = NodeId(rng.index(NODES as usize) as u16);
+            now += rng.index(20_000_000) as u64;
+            let at = SimTime::from_nanos(now);
+            let ctx = format!("seed {seed} step {step} {page} node{}", node.index());
+            match rng.index(3) {
+                0 => {
+                    dir.add_copy(page, node);
+                    model.add_copy(page, node);
+                }
+                1 => assert_eq!(
+                    dir.remove_copy(page, node),
+                    model.remove_copy(page, node),
+                    "{ctx}"
+                ),
+                _ => assert_eq!(
+                    dir.record_access(page, at),
+                    model.record_access(page, at),
+                    "publish decision, {ctx}"
+                ),
+            }
+            assert_eq!(dir.holders(page), model.holders(page), "{ctx}");
+            assert_eq!(dir.copies(page), model.holders(page).len(), "{ctx}");
+            assert_eq!(
+                dir.is_last_copy(page, node),
+                model.is_last_copy(page, node),
+                "{ctx}"
+            );
+            for requester in 0..NODES {
+                assert_eq!(
+                    dir.pick_holder(page, NodeId(requester)),
+                    model.pick_holder(page, NodeId(requester)),
+                    "{ctx}"
+                );
+            }
+            assert_eq!(dir.publish_events(), model.publish_events, "{ctx}");
+            assert_eq!(
+                dir.global_heat_per_ms(page, at).to_bits(),
+                model.global_heat_per_ms(page, at).to_bits(),
+                "{ctx}"
+            );
+        }
+        dir.check_invariants();
+        for p in 0..DB {
+            assert_eq!(
+                dir.holders(PageId(p)),
+                model.holders(PageId(p)),
+                "seed {seed}"
+            );
+        }
     }
 }

@@ -26,8 +26,9 @@
 //! Replays therefore run with spans off and compare *control records* —
 //! every record type except `span`.
 
-use dmm_cluster::{DiskStall, FabricSpec, FaultPlan, NodeId, PlacementSpec, ScheduledFault};
+use dmm_cluster::{ClusterParams, DiskStall, FabricSpec, FaultPlan, NetParams, NodeId};
 use dmm_cluster::{FaultKind, HotRingSpec, RepricingMode, TierSpec};
+use dmm_cluster::{PlacementSpec, ScheduledFault};
 use dmm_obs::{Json, VecSink};
 use dmm_sim::{SimDuration, SimTime};
 use dmm_workload::{GoalMetric, GoalRange, WorkloadSpec};
@@ -218,11 +219,38 @@ fn placement_obj(kind: &str, ring: Option<HotRingSpec>) -> Json {
         .field("ring_seed", ring.map(|r| r.seed))
 }
 
-/// Whether the workload matches the builder's generative two-class shape —
-/// the precondition for reconstructing it from the closure's scalar
-/// parameters. Hand-assembled workloads (extra classes, custom per-node
-/// rates, scheduled rate shifts) are recorded but flagged non-replayable.
+/// Whether the run can be rebuilt from its closure: the workload matches
+/// the builder's generative two-class shape, and every cluster parameter
+/// the closure does not record still has the value the builder gives it.
+/// Hand-assembled workloads (extra classes, custom per-node rates,
+/// scheduled rate shifts) and cluster fields edited after `build()` are
+/// recorded but flagged non-replayable.
 fn is_replayable(config: &SystemConfig) -> bool {
+    cluster_is_builder_shaped(&config.cluster) && workload_is_builder_shaped(config)
+}
+
+/// True when the cluster fields outside the closure equal the builder's
+/// values, which are [`ClusterParams::default`]'s.
+fn cluster_is_builder_shaped(cluster: &ClusterParams) -> bool {
+    let built = ClusterParams::default();
+    // The closure records the bandwidth and the fabric; the rest of the
+    // network model must be the default one.
+    let net = NetParams {
+        bits_per_sec: cluster.net.bits_per_sec,
+        fabric: cluster.net.fabric,
+        ..built.net
+    };
+    cluster.goal_classes == built.goal_classes
+        && cluster.policy == built.policy
+        && cluster.heat_publish_threshold == built.heat_publish_threshold
+        && cluster.disk == built.disk
+        && cluster.cpu == built.cpu
+        && cluster.net == net
+}
+
+/// True when the workload is the builder's two-class shape for the
+/// closure's scalar parameters.
+fn workload_is_builder_shaped(config: &SystemConfig) -> bool {
     let classes = &config.workload.classes;
     if classes.len() != 2 {
         return false;
@@ -251,7 +279,8 @@ pub fn config_from_record(record: &Json) -> Result<SystemConfig, String> {
     }
     if record.get("replayable").and_then(Json::as_bool) != Some(true) {
         return Err(
-            "run not replayable: its workload was assembled outside the builder".to_string(),
+            "run not replayable: its workload or cluster parameters were set outside the builder"
+                .to_string(),
         );
     }
     let uint = |key: &str| -> Result<u64, String> {
@@ -708,6 +737,43 @@ mod tests {
         );
         let err = config_from_record(&record).expect_err("must refuse");
         assert!(err.contains("not replayable"), "{err}");
+    }
+
+    #[test]
+    fn cluster_fields_set_after_build_are_flagged_non_replayable() {
+        let config = || {
+            SystemConfig::builder()
+                .seed(7)
+                .theta(0.5)
+                .goal_ms(8.0)
+                .db_pages(400)
+                .buffer_pages_per_node(96)
+                .goal_rate_per_ms(0.008)
+                .warmup_intervals(2)
+                .goal_range(GoalRange::new(4.0, 40.0))
+                .build()
+                .expect("valid config")
+        };
+        let mut lru = config();
+        lru.cluster.policy = dmm_buffer::PolicySpec::Lru;
+        let mut threshold = config();
+        threshold.cluster.heat_publish_threshold = 0.9;
+        for (name, edited) in [("policy", lru), ("heat_publish_threshold", threshold)] {
+            let doc = traced(edited, 3);
+            let header = Json::parse(doc.lines().next().expect("trace has a header"))
+                .expect("header parses");
+            assert_eq!(
+                header.get("replayable").and_then(Json::as_bool),
+                Some(false),
+                "{name} edited after build() must not claim to be replayable"
+            );
+            let err = config_from_record(&header).expect_err("must refuse");
+            assert!(err.contains("not replayable"), "{name}: {err}");
+            assert!(verify_jsonl(&doc, 1).is_err(), "{name}: verify must refuse");
+        }
+        // The untouched config still round-trips.
+        let record = run_config_record(&config());
+        assert_eq!(record.get("replayable").and_then(Json::as_bool), Some(true));
     }
 
     #[test]
