@@ -182,7 +182,9 @@ pub struct ClusterParams {
     pub goal_classes: usize,
     /// Replacement policy for every pool.
     pub policy: PolicySpec,
-    /// Benefit maintenance strategy for the cost-based policy.
+    /// Benefit maintenance strategy for the cost-based policy. The system
+    /// builder always uses [`RepricingMode::Lazy`]; the eager reference is
+    /// set on a built configuration, which makes its trace non-replayable.
     pub repricing: RepricingMode,
     /// Relative change of a page's global heat that triggers a dissemination
     /// message (threshold-based protocol of \[27, 26\]).

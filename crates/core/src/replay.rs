@@ -12,22 +12,25 @@
 //!
 //! The closure covers every parameter that affects the *bytes* of the
 //! control-record stream: seed, cluster shape, workload generator inputs,
-//! goal metric and schedule, controller, satisfaction/repricing/placement
+//! goal metric and schedule, controller, satisfaction and placement
 //! modes, fabric, probing, storage ladder, and the full fault plan (the
 //! `fault` trace records alone don't carry drop probabilities or disk-stall
 //! windows, so the plan rides in the closure).
 //!
-//! It deliberately *excludes* the execution-substrate toggles that are
-//! proven trace-invariant by the determinism suite: span mode (non-span
-//! records are byte-identical with sampling on or off) and scheduler
-//! backend (wheel and heap deliver identically). Including them would
-//! break the cross-substrate byte-identity contract those tests pin;
-//! excluding them means a replay reproduces the *system*, not the observer.
-//! Replays therefore run with spans off and compare *control records* —
-//! every record type except `span`.
+//! It deliberately *excludes* span mode, the one observer toggle the
+//! determinism suite proves trace-invariant (non-span records are
+//! byte-identical with sampling on or off): a replay reproduces the
+//! *system*, not the observer. Replays therefore run with spans off and
+//! compare *control records* — every record type except `span`.
+//!
+//! Cluster parameters the builder never sets — the replacement policy, the
+//! heat publish threshold, the eager benefit-maintenance reference, the
+//! device models — are outside the closure as well. A run that changes one
+//! of them after `build()` is recorded with `"replayable":false`, and
+//! [`config_from_record`] refuses it.
 
 use dmm_cluster::{ClusterParams, DiskStall, FabricSpec, FaultPlan, NetParams, NodeId};
-use dmm_cluster::{FaultKind, HotRingSpec, RepricingMode, TierSpec};
+use dmm_cluster::{FaultKind, HotRingSpec, TierSpec};
 use dmm_cluster::{PlacementSpec, ScheduledFault};
 use dmm_obs::{Json, VecSink};
 use dmm_sim::{SimDuration, SimTime};
@@ -181,13 +184,6 @@ pub fn run_config_record(config: &SystemConfig) -> Json {
             },
         )
         .field("release_floor_mb", config.release_floor_mb)
-        .field(
-            "repricing",
-            match cluster.repricing {
-                RepricingMode::Eager => "eager",
-                RepricingMode::Lazy => "lazy",
-            },
-        )
         .field("placement", placement)
         .field("fabric", fabric)
         .field("net_bits_per_sec", cluster.net.bits_per_sec)
@@ -243,6 +239,7 @@ fn cluster_is_builder_shaped(cluster: &ClusterParams) -> bool {
     cluster.goal_classes == built.goal_classes
         && cluster.policy == built.policy
         && cluster.heat_publish_threshold == built.heat_publish_threshold
+        && cluster.repricing == built.repricing
         && cluster.disk == built.disk
         && cluster.cpu == built.cpu
         && cluster.net == net
@@ -340,15 +337,18 @@ pub fn config_from_record(record: &Json) -> Result<SystemConfig, String> {
             Some("round_robin") => PlacementSpec::RoundRobin,
             Some("hash") => PlacementSpec::Hash,
             Some("hot_ring") => PlacementSpec::HotRing(HotRingSpec {
-                vnodes: p
-                    .get("vnodes")
-                    .and_then(Json::as_u64)
-                    .ok_or("hot_ring placement without vnodes")? as u16,
-                max_replicas: p
-                    .get("max_replicas")
-                    .and_then(Json::as_u64)
-                    .ok_or("hot_ring placement without max_replicas")?
-                    as u8,
+                vnodes: narrow(
+                    p.get("vnodes")
+                        .and_then(Json::as_u64)
+                        .ok_or("hot_ring placement without vnodes")?,
+                    "placement.vnodes",
+                )?,
+                max_replicas: narrow(
+                    p.get("max_replicas")
+                        .and_then(Json::as_u64)
+                        .ok_or("hot_ring placement without max_replicas")?,
+                    "placement.max_replicas",
+                )?,
                 seed: p
                     .get("ring_seed")
                     .and_then(Json::as_u64)
@@ -419,11 +419,12 @@ pub fn config_from_record(record: &Json) -> Result<SystemConfig, String> {
                     .ok_or("fault_plan without retransmit_ns")?,
             );
             for e in p.get("events").and_then(Json::as_arr).unwrap_or(&[]) {
-                let node = NodeId(
+                let node = NodeId(narrow(
                     e.get("node")
                         .and_then(Json::as_u64)
-                        .ok_or("fault event without a node")? as u16,
-                );
+                        .ok_or("fault event without a node")?,
+                    "fault_plan.events.node",
+                )?);
                 let at = SimTime::ZERO
                     + SimDuration::from_nanos(
                         e.get("at_ns")
@@ -439,11 +440,12 @@ pub fn config_from_record(record: &Json) -> Result<SystemConfig, String> {
             }
             for s in p.get("stalls").and_then(Json::as_arr).unwrap_or(&[]) {
                 plan.stalls.push(DiskStall {
-                    node: NodeId(
+                    node: NodeId(narrow(
                         s.get("node")
                             .and_then(Json::as_u64)
-                            .ok_or("disk stall without a node")? as u16,
-                    ),
+                            .ok_or("disk stall without a node")?,
+                        "fault_plan.stalls.node",
+                    )?),
                     from: SimTime::ZERO
                         + SimDuration::from_nanos(
                             s.get("from_ns")
@@ -471,10 +473,10 @@ pub fn config_from_record(record: &Json) -> Result<SystemConfig, String> {
         .theta(num("theta")?)
         .goal_ms(num("goal_ms")?)
         .nodes(uint("nodes")? as usize)
-        .db_pages(uint("db_pages")? as u32)
+        .db_pages(narrow(uint("db_pages")?, "db_pages")?)
         .buffer_pages_per_node(uint("buffer_pages_per_node")? as usize)
         .goal_rate_per_ms(num("goal_rate_per_ms")?)
-        .warmup_intervals(uint("warmup_intervals")? as u32)
+        .warmup_intervals(narrow(uint("warmup_intervals")?, "warmup_intervals")?)
         .controller(controller)
         .satisfaction(match text("satisfaction")? {
             "two_sided" => SatisfactionMode::TwoSided,
@@ -482,11 +484,6 @@ pub fn config_from_record(record: &Json) -> Result<SystemConfig, String> {
             other => return Err(format!("unknown satisfaction mode {other:?}")),
         })
         .release_floor_mb(num("release_floor_mb")?)
-        .repricing(match text("repricing")? {
-            "eager" => RepricingMode::Eager,
-            "lazy" => RepricingMode::Lazy,
-            other => return Err(format!("unknown repricing mode {other:?}")),
-        })
         .placement(placement)
         .fabric(fabric)
         .net_bits_per_sec(uint("net_bits_per_sec")?)
@@ -504,16 +501,18 @@ pub fn config_from_record(record: &Json) -> Result<SystemConfig, String> {
         .get("goal_range")
         .filter(|r| !matches!(r, Json::Null))
     {
-        builder = builder.goal_range(GoalRange::new(
-            range
+        // Field construction, not `GoalRange::new`: `build()` rejects a bad
+        // range with an error where the constructor would panic.
+        builder = builder.goal_range(GoalRange {
+            min_ms: range
                 .get("min_ms")
                 .and_then(Json::as_f64)
                 .ok_or("goal_range without min_ms")?,
-            range
+            max_ms: range
                 .get("max_ms")
                 .and_then(Json::as_f64)
                 .ok_or("goal_range without max_ms")?,
-        ));
+        });
     }
     if let Some(plan) = fault_plan {
         builder = builder.fault_plan(plan);
@@ -523,6 +522,12 @@ pub fn config_from_record(record: &Json) -> Result<SystemConfig, String> {
     // recorded interval exactly.
     config.interval = SimDuration::from_nanos(uint("interval_ns")?);
     Ok(config)
+}
+
+/// Narrows a recorded unsigned integer to its field's type, refusing
+/// values that do not fit instead of truncating them.
+fn narrow<T: TryFrom<u64>>(value: u64, key: &str) -> Result<T, String> {
+    T::try_from(value).map_err(|_| format!("run_config.{key} = {value} is out of range"))
 }
 
 /// A recorded run, decoded from its JSON-lines trace: the reconstructed
@@ -758,7 +763,13 @@ mod tests {
         lru.cluster.policy = dmm_buffer::PolicySpec::Lru;
         let mut threshold = config();
         threshold.cluster.heat_publish_threshold = 0.9;
-        for (name, edited) in [("policy", lru), ("heat_publish_threshold", threshold)] {
+        let mut eager = config();
+        eager.cluster.repricing = dmm_cluster::RepricingMode::Eager;
+        for (name, edited) in [
+            ("policy", lru),
+            ("heat_publish_threshold", threshold),
+            ("repricing", eager),
+        ] {
             let doc = traced(edited, 3);
             let header = Json::parse(doc.lines().next().expect("trace has a header"))
                 .expect("header parses");
@@ -808,5 +819,74 @@ mod tests {
         let rebuilt = config_from_record(&record).expect("round trip");
         assert!(rebuilt.workload.classes[1].goal_metric.is_quantile());
         let _ = ClassId(1);
+    }
+
+    #[test]
+    fn out_of_range_closures_are_errors_not_panics() {
+        let plan = FaultPlan::new(3).crash_ms(NodeId(1), 20_000).disk_stall_ms(
+            NodeId(0),
+            30_000,
+            40_000,
+            2.5,
+        );
+        let config = SystemConfig::builder()
+            .seed(7)
+            .goal_ms(8.0)
+            .db_pages(400)
+            .buffer_pages_per_node(96)
+            .goal_rate_per_ms(0.008)
+            .warmup_intervals(1)
+            .goal_range(GoalRange::new(4.0, 40.0))
+            .placement(PlacementSpec::HotRing(HotRingSpec::default()))
+            .fault_plan(plan)
+            .build()
+            .expect("valid config");
+        let doc = traced(config, 2);
+        let header = doc.lines().next().expect("trace has a header");
+        let ring = HotRingSpec::default();
+        let range = |min: f64, max: f64| {
+            Json::obj()
+                .field("min_ms", min)
+                .field("max_ms", max)
+                .to_string()
+        };
+        let edits = [
+            (range(4.0, 40.0), range(40.0, 4.0)),
+            (
+                format!("\"vnodes\":{}", ring.vnodes),
+                "\"vnodes\":65536".to_string(),
+            ),
+            (
+                format!("\"max_replicas\":{}", ring.max_replicas),
+                "\"max_replicas\":256".to_string(),
+            ),
+            (
+                "\"kind\":\"crash\",\"node\":1".to_string(),
+                "\"kind\":\"crash\",\"node\":65537".to_string(),
+            ),
+            (
+                "\"stalls\":[{\"node\":0".to_string(),
+                "\"stalls\":[{\"node\":65536".to_string(),
+            ),
+            (
+                "\"kind\":\"hyperplane\",\"objective\":\"min_nogoal_rt\",\"fraction\":null"
+                    .to_string(),
+                "\"kind\":\"static\",\"objective\":null,\"fraction\":3.0".to_string(),
+            ),
+        ];
+        for (from, to) in edits {
+            assert_eq!(header.matches(&from).count(), 1, "{from} not in {header}");
+            let edited = doc.replacen(&from, &to, 1);
+            let record = Json::parse(edited.lines().next().unwrap()).expect("header parses");
+            let err = config_from_record(&record).expect_err("edited closure must be refused");
+            assert!(
+                err.contains("out of range") || err.contains("invalid configuration"),
+                "{to}: {err}"
+            );
+            assert!(
+                verify_jsonl(&edited, 1).is_err(),
+                "{to}: verify must refuse"
+            );
+        }
     }
 }

@@ -11,10 +11,10 @@
 use dmm_buffer::{ClassId, TierPolicy};
 use dmm_cluster::{
     ClusterEvent, ClusterParams, CostSlot, DataPlane, FabricSpec, FaultKind, FaultPlan, NodeId,
-    PlacementSpec, RepricingMode, TierLadder, TierSpec,
+    PlacementSpec, TierLadder, TierSpec,
 };
 use dmm_obs::{Json, MetricsSnapshot, NoopSink, SpanMode, Stage, TraceSink};
-use dmm_sim::{Engine, Handler, Scheduler, SchedulerBackend, SimDuration, SimParams, SimTime};
+use dmm_sim::{Engine, Handler, Scheduler, SimDuration, SimTime};
 use dmm_workload::{GoalRange, GoalSchedule, WorkloadGenerator, WorkloadSpec};
 
 use crate::agent::{AgentObservation, LocalAgent};
@@ -65,9 +65,6 @@ pub struct SystemConfig {
     /// Warm-up probing scheme of the hyperplane coordinators (default:
     /// the paper's sequential one-node-per-step probes).
     pub probe: ProbeSpec,
-    /// Simulation-kernel parameters (event-queue backend). Both backends
-    /// deliver identically; the heap exists for differential testing.
-    pub sim: SimParams,
 }
 
 impl SystemConfig {
@@ -104,7 +101,6 @@ impl SystemConfig {
             goal_range: None,
             satisfaction: SatisfactionMode::default(),
             release_floor_mb: 0.5,
-            repricing: cluster.repricing,
             spans: cluster.spans,
             placement: cluster.placement,
             fault_plan: None,
@@ -113,7 +109,6 @@ impl SystemConfig {
             probe: ProbeSpec::default(),
             tiers: None,
             tier_policy: TierPolicy::default(),
-            sim: SimParams::default(),
         }
     }
 
@@ -148,7 +143,6 @@ pub struct SystemConfigBuilder {
     goal_range: Option<GoalRange>,
     satisfaction: SatisfactionMode,
     release_floor_mb: f64,
-    repricing: RepricingMode,
     spans: SpanMode,
     placement: PlacementSpec,
     fault_plan: Option<FaultPlan>,
@@ -157,7 +151,6 @@ pub struct SystemConfigBuilder {
     probe: ProbeSpec,
     tiers: Option<Vec<TierSpec>>,
     tier_policy: TierPolicy,
-    sim: SimParams,
 }
 
 impl SystemConfigBuilder {
@@ -279,12 +272,6 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Benefit-maintenance mode of the cost-based replacement policy.
-    pub fn repricing(mut self, mode: RepricingMode) -> Self {
-        self.repricing = mode;
-        self
-    }
-
     /// Operation-level span tracing mode (default: [`SpanMode::Off`]).
     /// [`SpanMode::Histograms`] aggregates per-class × per-stage response
     /// time histograms into the metrics snapshot;
@@ -330,13 +317,6 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Selects the event-queue backend (default: the timing wheel; the
-    /// binary heap remains available as a reference for differential runs).
-    pub fn scheduler(mut self, backend: SchedulerBackend) -> Self {
-        self.sim.scheduler = backend;
-        self
-    }
-
     /// Validates and constructs the configuration.
     pub fn build(self) -> Result<SystemConfig, Error> {
         if self.nodes == 0 {
@@ -379,6 +359,20 @@ impl SystemConfigBuilder {
                 "the observation interval must be positive",
             ));
         }
+        if let ControllerKind::Static { fraction } = self.controller {
+            if !(0.0..=1.0).contains(&fraction) {
+                return Err(Error::InvalidConfig("static fraction must lie in [0, 1]"));
+            }
+        }
+        if let Some(range) = self.goal_range {
+            // `GoalRange` has public fields, so its asserting constructor
+            // may have been bypassed; `max_ms > min_ms > 0` rejects NaN.
+            if !(range.min_ms > 0.0 && range.max_ms > range.min_ms && range.max_ms.is_finite()) {
+                return Err(Error::InvalidConfig(
+                    "goal range must be finite with 0 < min_ms < max_ms",
+                ));
+            }
+        }
         if let Some(plan) = &self.fault_plan {
             plan.validate(self.nodes).map_err(Error::InvalidConfig)?;
         }
@@ -386,7 +380,6 @@ impl SystemConfigBuilder {
             nodes: self.nodes,
             db_pages: self.db_pages,
             buffer_pages_per_node: self.buffer_pages_per_node,
-            repricing: self.repricing,
             spans: self.spans,
             placement: self.placement,
             tier_policy: self.tier_policy,
@@ -440,7 +433,6 @@ impl SystemConfigBuilder {
             release_floor_mb: self.release_floor_mb,
             fault_plan: self.fault_plan,
             probe: self.probe,
-            sim: self.sim,
         })
     }
 }
@@ -1157,7 +1149,7 @@ impl Simulation {
             run_config: crate::replay::run_config_record(&config),
         };
 
-        let mut engine = Engine::with_params(config.sim);
+        let mut engine = Engine::new();
         for (node, class) in state.gen.active_streams() {
             let gap = state.gen.next_gap(node, class, SimTime::ZERO);
             engine
@@ -1465,34 +1457,6 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_backends_produce_identical_runs() {
-        let mut records = Vec::new();
-        for backend in [SchedulerBackend::Wheel, SchedulerBackend::Heap] {
-            let config = SystemConfig::builder()
-                .seed(11)
-                .goal_ms(8.0)
-                .db_pages(400)
-                .buffer_pages_per_node(96)
-                .goal_rate_per_ms(0.008)
-                .warmup_intervals(2)
-                .scheduler(backend)
-                .build()
-                .expect("valid test config");
-            assert_eq!(config.sim.scheduler, backend);
-            let mut sim = Simulation::new(config);
-            sim.run_intervals(10);
-            records.push((
-                sim.records(ClassId(0)).to_vec(),
-                sim.metrics_snapshot().to_json().to_string(),
-            ));
-        }
-        assert_eq!(records[0].0, records[1].0, "interval records diverged");
-        // Full metrics agree except the scheduler's own counters
-        // (cascades/level occupancy are wheel-specific by design).
-        assert_ne!(records[0].1, records[1].1);
-    }
-
-    #[test]
     fn builder_rejects_bad_inputs() {
         assert_eq!(
             SystemConfig::builder().nodes(0).build().unwrap_err(),
@@ -1608,6 +1572,38 @@ mod tests {
         }
         assert!(SystemConfig::builder()
             .probe(ProbeSpec::Batched { batch: 4 })
+            .build()
+            .is_ok());
+        // A static fraction outside [0, 1] (or NaN) is a config error, not
+        // a panic inside `Simulation::new`.
+        for bad in [1.5, f64::NAN] {
+            assert_eq!(
+                SystemConfig::builder()
+                    .controller(ControllerKind::Static { fraction: bad })
+                    .build()
+                    .unwrap_err(),
+                Error::InvalidConfig("static fraction must lie in [0, 1]")
+            );
+        }
+        // Goal ranges built around the asserting constructor are checked
+        // too: inverted, non-positive, NaN and infinite bounds.
+        for (min_ms, max_ms) in [
+            (20.0, 2.0),
+            (0.0, 2.0),
+            (f64::NAN, 2.0),
+            (2.0, f64::NAN),
+            (2.0, f64::INFINITY),
+        ] {
+            assert_eq!(
+                SystemConfig::builder()
+                    .goal_range(GoalRange { min_ms, max_ms })
+                    .build()
+                    .unwrap_err(),
+                Error::InvalidConfig("goal range must be finite with 0 < min_ms < max_ms")
+            );
+        }
+        assert!(SystemConfig::builder()
+            .goal_range(GoalRange::new(2.0, 20.0))
             .build()
             .is_ok());
     }

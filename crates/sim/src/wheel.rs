@@ -29,8 +29,8 @@
 //! are a pure function of its time and the current position* — two events
 //! scheduled for the same instant always sit in the same chain, in
 //! insertion order, no matter how far apart they were scheduled. Delivery
-//! order is therefore exactly (time, seq): identical to the binary-heap
-//! reference, which the differential tests in `tests/` assert.
+//! order is therefore exactly (time, seq): identical to a binary-heap
+//! reference loop, which the differential tests in `tests/` assert.
 
 use crate::time::SimTime;
 
@@ -70,7 +70,7 @@ impl Chain {
     };
 }
 
-/// The timing-wheel backend. All methods are crate-private; the public
+/// The timing wheel. All methods are crate-private; the public
 /// surface is [`crate::Scheduler`].
 pub(crate) struct TimingWheel<E> {
     arena: Vec<Node<E>>,

@@ -475,9 +475,10 @@ pub fn residuals(trace: &Trace) -> String {
 /// [`MetricsSnapshot`](dmm_obs::MetricsSnapshot) (exported by
 /// `Simulation::metrics_snapshot`, serialized with `MetricsSnapshot::to_json`):
 /// event-wheel work (`sim.sched.*`) and trace-sink health (`obs.sink.*`).
-/// These counters never ride in the trace itself — they vary across
-/// scheduler backends, which traces are byte-identical over — so the report
-/// takes the snapshot as a sidecar (`dmm-trace report --metrics <file>`).
+/// These counters never ride in the trace itself — they measure the event
+/// queue's and the sink's own work, not the simulated system the trace
+/// records — so the report takes the snapshot as a sidecar
+/// (`dmm-trace report --metrics <file>`).
 pub fn executor(snapshot: &dmm_obs::MetricsSnapshot) -> String {
     let mut out = String::from("== executor (metrics sidecar) ==\n");
     let mut rows: Vec<(&str, u64)> = Vec::new();

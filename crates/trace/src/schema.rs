@@ -43,8 +43,7 @@ pub fn expected_fields(kind: &str) -> Option<&'static [&'static str]> {
     Some(match kind {
         // The replay closure: the first record of every trace, carrying
         // every builder parameter that shapes the byte stream (see
-        // `dmm_core::replay`). Execution-substrate toggles (span mode,
-        // scheduler backend, exec mode) are trace-invariant and excluded.
+        // `dmm_core::replay`). Span mode is trace-invariant and excluded.
         "run_config" => &[
             "type",
             "seed",
@@ -61,7 +60,6 @@ pub fn expected_fields(kind: &str) -> Option<&'static [&'static str]> {
             "goal_range",
             "satisfaction",
             "release_floor_mb",
-            "repricing",
             "placement",
             "fabric",
             "net_bits_per_sec",

@@ -117,13 +117,13 @@ fn assert_digest(name: &str, records: &str, pinned: u64) {
 #[test]
 fn tiered_hotness_histograms_digest_is_pinned() {
     let records = control_records(tiered_hotness_histograms(), 20);
-    assert_digest("tiered_hotness_histograms", &records, 0xa843_7265_0100_efec);
+    assert_digest("tiered_hotness_histograms", &records, 0xf3ed_1f31_9a72_4117);
 }
 
 #[test]
 fn switched_hot_ring_n16_digest_is_pinned() {
     let records = control_records(switched_hot_ring_n16(), 10);
-    assert_digest("switched_hot_ring_n16", &records, 0x97d5_8f10_76d7_2bcd);
+    assert_digest("switched_hot_ring_n16", &records, 0x0e1c_2ef4_fb1e_226e);
 }
 
 #[test]
@@ -136,5 +136,5 @@ fn crash_restart_digest_is_pinned() {
         });
         assert!(fired, "no {kind} fault record in the run");
     }
-    assert_digest("crash_restart", &records, 0x3dde_12c5_e6e2_7e85);
+    assert_digest("crash_restart", &records, 0x13da_dd61_9f91_fa04);
 }

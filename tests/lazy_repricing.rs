@@ -7,18 +7,26 @@ use dmm::core::{ControllerKind, Simulation, SystemConfig};
 use dmm::obs::VecSink;
 use dmm::workload::GoalRange;
 
+/// Sets the benefit-maintenance mode on a built configuration. The eager
+/// sweep is the data plane's reference: it is selected on
+/// `ClusterParams` after `build()`, not through the builder.
+fn repriced(mut cfg: SystemConfig, mode: RepricingMode) -> SystemConfig {
+    cfg.cluster.repricing = mode;
+    cfg
+}
+
 /// The fig2-style base run, shrunk for test speed, with a selectable
 /// repricing mode.
 fn config(seed: u64, mode: RepricingMode) -> SystemConfig {
-    SystemConfig::builder()
+    let cfg = SystemConfig::builder()
         .seed(seed)
         .goal_ms(8.0)
         .db_pages(600)
         .buffer_pages_per_node(128)
-        .repricing(mode)
         .warmup_intervals(3)
         .build()
-        .expect("valid test config")
+        .expect("valid test config");
+    repriced(cfg, mode)
 }
 
 #[derive(Debug)]
@@ -55,10 +63,9 @@ fn paper_scale(mode: RepricingMode) -> Simulation {
     let cfg = SystemConfig::builder()
         .seed(42)
         .goal_ms(15.0)
-        .repricing(mode)
         .build()
         .expect("valid test config");
-    let mut sim = Simulation::new(cfg);
+    let mut sim = Simulation::new(repriced(cfg, mode));
     sim.run_intervals(30);
     sim
 }
@@ -77,10 +84,9 @@ fn lazy_matches_eager_at_a_fixed_allocation() {
             .seed(42)
             .goal_ms(15.0)
             .controller(ControllerKind::Static { fraction: 0.4 })
-            .repricing(mode)
             .build()
             .expect("valid test config");
-        let mut sim = Simulation::new(cfg);
+        let mut sim = Simulation::new(repriced(cfg, mode));
         sim.run_intervals(30);
         summarize(&sim)
     };
@@ -160,10 +166,9 @@ fn lazy_recomputes_far_fewer_benefits_than_the_eager_sweep() {
             .db_pages(6000)
             .buffer_pages_per_node(2048)
             .controller(ControllerKind::Static { fraction: 0.4 })
-            .repricing(mode)
             .build()
             .expect("valid test config");
-        let mut sim = Simulation::new(cfg);
+        let mut sim = Simulation::new(repriced(cfg, mode));
         sim.run_intervals(30);
         sim
     };

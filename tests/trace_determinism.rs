@@ -8,14 +8,14 @@ use dmm::buffer::ClassId;
 use dmm::cluster::{FabricSpec, FaultPlan, HotRingSpec, NodeId, PlacementSpec};
 use dmm::core::{ControllerKind, ProbeSpec, Simulation, SystemConfig};
 use dmm::obs::{SpanMode, StreamSink, VecSink};
-use dmm::prelude::{SchedulerBackend, TierPolicy, TierSpec};
+use dmm::prelude::{TierPolicy, TierSpec};
 use dmm::workload::GoalRange;
 use dmm_bench::convergence_speed;
 use dmm_bench::pool::replicate_in_order;
 
-/// Runs the base system with the trace enabled on the given event-queue
-/// backend and returns the full JSON-lines document.
-fn traced_run_on(seed: u64, backend: SchedulerBackend) -> String {
+/// Runs the base system with the trace enabled and returns the full
+/// JSON-lines document.
+fn traced_run(seed: u64) -> String {
     // Small enough to run quickly, busy enough to exercise every record
     // type: goal schedule on, upper-bound satisfaction so goals change.
     let cfg = SystemConfig::builder()
@@ -27,7 +27,6 @@ fn traced_run_on(seed: u64, backend: SchedulerBackend) -> String {
         .goal_rate_per_ms(0.008)
         .warmup_intervals(2)
         .goal_range(GoalRange::new(4.0, 40.0))
-        .scheduler(backend)
         .build()
         .expect("valid test config");
     let sink = VecSink::new();
@@ -37,13 +36,9 @@ fn traced_run_on(seed: u64, backend: SchedulerBackend) -> String {
     sink.to_jsonl()
 }
 
-fn traced_run(seed: u64) -> String {
-    traced_run_on(seed, SchedulerBackend::default())
-}
-
 /// Same system with a crash/restart plan, message drops and a disk stall:
 /// the full degraded-mode code path must be just as deterministic.
-fn faulted_traced_run_on(seed: u64, backend: SchedulerBackend) -> String {
+fn faulted_traced_run(seed: u64) -> String {
     let plan = FaultPlan::new(seed)
         .crash_ms(NodeId(2), 32_500)
         .restart_ms(NodeId(2), 92_500)
@@ -58,7 +53,6 @@ fn faulted_traced_run_on(seed: u64, backend: SchedulerBackend) -> String {
         .goal_rate_per_ms(0.008)
         .warmup_intervals(2)
         .fault_plan(plan)
-        .scheduler(backend)
         .build()
         .expect("valid test config");
     let sink = VecSink::new();
@@ -66,10 +60,6 @@ fn faulted_traced_run_on(seed: u64, backend: SchedulerBackend) -> String {
     sim.set_trace_sink(Box::new(sink.handle()));
     sim.run_intervals(30);
     sink.to_jsonl()
-}
-
-fn faulted_traced_run(seed: u64) -> String {
-    faulted_traced_run_on(seed, SchedulerBackend::default())
 }
 
 /// The base run with operation-level span tracing on: deterministic 1-in-
@@ -360,30 +350,6 @@ fn faulted_traces_are_byte_identical_per_seed() {
         "both crash and restart must appear"
     );
     assert!(a != traced_run(7), "faults must change the trace");
-}
-
-#[test]
-fn wheel_and_heap_backends_trace_byte_identically() {
-    // The timing wheel is the default backend; the binary heap is the
-    // reference. A full control-loop run — goal changes, grants, faults —
-    // must trace byte-for-byte the same under both, for every seed.
-    for seed in [7, 8] {
-        let wheel = traced_run_on(seed, SchedulerBackend::Wheel);
-        let heap = traced_run_on(seed, SchedulerBackend::Heap);
-        assert!(!wheel.is_empty());
-        assert_eq!(
-            wheel.as_bytes(),
-            heap.as_bytes(),
-            "backend changed the trace (seed {seed})"
-        );
-        let wheel_faulted = faulted_traced_run_on(seed, SchedulerBackend::Wheel);
-        let heap_faulted = faulted_traced_run_on(seed, SchedulerBackend::Heap);
-        assert_eq!(
-            wheel_faulted.as_bytes(),
-            heap_faulted.as_bytes(),
-            "backend changed the faulted trace (seed {seed})"
-        );
-    }
 }
 
 #[test]
